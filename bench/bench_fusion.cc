@@ -1,9 +1,9 @@
-// Operator-fusion experiment: fused chunked execution vs unfused
-// whole-dataset execution (the SystemML-style codegen comparison, Boehm et
-// al. 2018, transplanted onto KeystoneML pipelines). One text workload
-// (Amazon) and one image workload (CIFAR) are fitted once per execution
-// style and their runtime paths applied repeatedly to the test split; the
-// bench reports per workload:
+// Operator-fusion experiment: fused chunked execution vs the unfused plan
+// (the SystemML-style codegen comparison, Boehm et al. 2018, transplanted
+// onto KeystoneML pipelines). One text workload (Amazon) and one image
+// workload (CIFAR) are fitted once with OptimizationConfig::operator_fusion
+// on and once with it off, and their runtime paths applied repeatedly to
+// the test split; the bench reports per workload:
 //   - fit and apply wall time per style, with the fused/unfused delta,
 //   - modeled peak intermediate memory: bytes the unfused style
 //     materializes between fused-region members (exec.fused.
@@ -84,17 +84,18 @@ std::string DigestOutputs(
   return std::to_string(records) + ":" + std::to_string(h);
 }
 
-/// Fits `pipe` under `style` and applies the runtime path `reps` times to
+/// Fits `pipe` with operator fusion on or off and applies the runtime path `reps` times to
 /// `test`, reporting wall times and the fused-execution metrics.
 template <typename In>
 StyleResult RunStyle(const Pipeline<In, std::vector<double>>& pipe,
                      const std::shared_ptr<DistDataset<In>>& test,
-                     ExecStyle style, int reps) {
-  PipelineExecutor executor(Cluster(), OptimizationConfig::Full());
+                     bool fused, int reps) {
+  OptimizationConfig config = OptimizationConfig::Full();
+  config.operator_fusion = fused;
+  PipelineExecutor executor(Cluster(), config);
   obs::MetricsRegistry metrics;
   executor.context()->set_metrics(&metrics);
   ExecOptions opts;
-  opts.style = style;
   opts.max_batch_size = 256;
   executor.context()->set_exec_options(opts);
 
@@ -131,8 +132,8 @@ WorkloadResult RunWorkload(const std::string& name,
                            int reps) {
   WorkloadResult result;
   result.name = name;
-  result.unfused = RunStyle(pipe, test, ExecStyle::kWholeDataset, reps);
-  result.fused = RunStyle(pipe, test, ExecStyle::kChunked, reps);
+  result.unfused = RunStyle(pipe, test, /*fused=*/false, reps);
+  result.fused = RunStyle(pipe, test, /*fused=*/true, reps);
   std::printf(
       "%-8s fit %.3fs -> %.3fs  apply %.4fs -> %.4fs  "
       "regions=%d  avoided=%s  chunk-peak=%s\n",

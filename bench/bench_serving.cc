@@ -26,6 +26,7 @@
 #include "src/common/check.h"
 #include "src/common/timer.h"
 #include "src/core/executor.h"
+#include "src/obs/profile_store.h"
 #include "src/obs/telemetry.h"
 #include "src/obs/trace.h"
 #include "src/serve/load_generator.h"
@@ -53,12 +54,37 @@ using serve::TypedRequestCodec;
 struct ServingFixture {
   std::shared_ptr<FittedPipelineUntyped> amazon;
   std::shared_ptr<FittedPipelineUntyped> youtube;
+  // The same fitted pipelines compiled with operator fusion off.
+  std::shared_ptr<FittedPipelineUntyped> amazon_unfused;
+  std::shared_ptr<FittedPipelineUntyped> youtube_unfused;
   std::shared_ptr<serve::RequestCodec> amazon_codec;
   std::shared_ptr<serve::RequestCodec> youtube_codec;
 };
 
 ClusterResourceDescriptor Cluster() {
   return ClusterResourceDescriptor::R3_4xlarge(4);
+}
+
+/// `fitted` compiled again with OptimizationConfig::operator_fusion off. The
+/// compile replays the profiles the fit just recorded in `store`, so every
+/// selection and cost decision matches, and the fitted models are shared:
+/// the two plans differ only in their fused regions. The compile's own
+/// spans and metrics stay out of the bench's sinks.
+template <typename A, typename B>
+std::shared_ptr<FittedPipelineUntyped> UnfusedTwin(
+    const Pipeline<A, B>& pipe, const FittedPipelineUntyped& fitted,
+    obs::ProfileStore* store) {
+  OptimizationConfig config = OptimizationConfig::Full();
+  config.operator_fusion = false;
+  config.reuse_stored_profiles = true;
+  PipelineExecutor executor(Cluster(), config);
+  executor.context()->set_profile_store(store);
+  executor.context()->set_tracer(nullptr);
+  executor.context()->set_metrics(nullptr);
+  executor.context()->set_timeline(nullptr);
+  auto plan = executor.Compile(*pipe.graph(), pipe.source(), pipe.sink());
+  KS_CHECK(plan->profiles_from_store && plan->fused_regions.empty());
+  return std::make_shared<FittedPipelineUntyped>(plan, fitted.models());
 }
 
 /// Fits both tenant pipelines once; every serving configuration reuses the
@@ -79,6 +105,8 @@ ServingFixture BuildFixture(bool smoke) {
     auto pipe = workloads::BuildAmazonPipeline(corpus, smoke ? 2000 : 4000, solver);
     PipelineExecutor executor(Cluster(), OptimizationConfig::Full());
     fixture.amazon = executor.Fit(pipe).impl_ptr();
+    fixture.amazon_unfused = UnfusedTwin(pipe, *fixture.amazon,
+                                         executor.context()->profile_store());
     fixture.amazon_codec =
         std::make_shared<TypedRequestCodec<std::string, std::vector<double>>>(
             corpus.test_docs->Collect());
@@ -91,6 +119,8 @@ ServingFixture BuildFixture(bool smoke) {
     auto pipe = workloads::BuildYoutubePipeline(corpus, solver);
     PipelineExecutor executor(Cluster(), OptimizationConfig::Full());
     fixture.youtube = executor.Fit(pipe).impl_ptr();
+    fixture.youtube_unfused = UnfusedTwin(
+        pipe, *fixture.youtube, executor.context()->profile_store());
     fixture.youtube_codec = std::make_shared<
         TypedRequestCodec<std::vector<double>, std::vector<double>>>(
         corpus.test->Collect());
@@ -100,21 +130,16 @@ ServingFixture BuildFixture(bool smoke) {
 
 /// One serving configuration: both tenants at `rate_per_tenant`, batching
 /// capped at `max_batch`. Returns the report (and the response stream when
-/// `stream_out` is set, for the determinism check). `style` selects how each
-/// request batch executes — fused chunked streaming (the default) or the
-/// unfused whole-dataset path — and is inherited by every request context
-/// the server mints.
+/// `stream_out` is set, for the determinism check). `fused` selects the
+/// fixture's fused plans (the default) or their unfused twins.
 ServeReport RunConfig(const ServingFixture& fixture, double rate_per_tenant,
                       size_t max_batch, size_t requests_per_tenant,
                       size_t num_threads, std::string* stream_out,
-                      ExecStyle style = ExecStyle::kChunked) {
+                      bool fused = true) {
   ServerConfig config;
   config.server_slots = 4;
   config.num_threads = num_threads;
   PipelineServer server(Cluster(), config);
-  ExecOptions exec_opts;
-  exec_opts.style = style;
-  server.context()->set_exec_options(exec_opts);
   ServeOptions options;
   options.max_batch_size = max_batch;
   options.max_batch_delay_seconds = 0.05;
@@ -123,11 +148,13 @@ ServeReport RunConfig(const ServingFixture& fixture, double rate_per_tenant,
   options.cost_admission = true;
   options.admission_headroom = 1.0;
   const int amazon = server.AddTenant(
-      "amazon", ServablePipeline(fixture.amazon), fixture.amazon_codec,
-      options);
+      "amazon",
+      ServablePipeline(fused ? fixture.amazon : fixture.amazon_unfused),
+      fixture.amazon_codec, options);
   const int youtube = server.AddTenant(
-      "youtube", ServablePipeline(fixture.youtube), fixture.youtube_codec,
-      options);
+      "youtube",
+      ServablePipeline(fused ? fixture.youtube : fixture.youtube_unfused),
+      fixture.youtube_codec, options);
   OpenLoopSource amazon_load(amazon, rate_per_tenant, requests_per_tenant,
                              fixture.amazon_codec->NumPayloads(), 2024);
   OpenLoopSource youtube_load(youtube, rate_per_tenant, requests_per_tenant,
@@ -380,11 +407,10 @@ int Run(int argc, char** argv) {
   // and the fused p99 must be no worse than the unfused one.
   std::string stream_fused, stream_unfused;
   const ServeReport fused_report =
-      RunConfig(fixture, rates.back(), 16, requests, 0, &stream_fused,
-                ExecStyle::kChunked);
+      RunConfig(fixture, rates.back(), 16, requests, 0, &stream_fused);
   const ServeReport unfused_report =
       RunConfig(fixture, rates.back(), 16, requests, 0, &stream_unfused,
-                ExecStyle::kWholeDataset);
+                /*fused=*/false);
   double fused_p99 = 0.0, unfused_p99 = 0.0;
   for (const auto& tenant : fused_report.tenants) {
     if (tenant.p99_latency_seconds > fused_p99) {

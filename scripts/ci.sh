@@ -4,8 +4,8 @@
 # (decision provenance + calibration over every shipped workload), the
 # serving smoke gate (determinism + batching-throughput checks), the
 # cross-run reuse smoke gate (warm-catalog grid search byte-identity +
-# >= 2x cumulative-makespan win), the fusion smoke gate (fused-chunked vs
-# whole-dataset byte-identity + modeled memory reduction), then a sanitizer
+# >= 2x cumulative-makespan win), the fusion smoke gate (fused vs unfused
+# plan byte-identity + modeled memory reduction), then a sanitizer
 # matrix running the full suite under each sanitizer.
 #
 #   scripts/ci.sh                  # lint + tier-1 + ASan, UBSan, TSan legs
@@ -131,6 +131,11 @@ echo "=== observability: explain over shipped workloads ==="
 # output machine-checkable (and exercises the JSON emitter).
 ./build/tools/explain --strict --json > /dev/null
 
+echo "=== plans: explain --compile-only over shipped workloads ==="
+# Compiles every shipped workload without the training pass and renders the
+# PhysicalPlan IR as JSON, keeping the plan-rendering path exercised.
+./build/tools/explain --compile-only --json > /dev/null
+
 echo "=== fault injection: explain over a faulted run ==="
 # The same gate with a fault schedule injected: recovery decisions must land
 # in the decision log and the calibration must stay finite under retries.
@@ -141,9 +146,9 @@ serving_telemetry_gate
 tuning_reuse_gate
 
 echo "=== fusion: bench_fusion smoke gate ==="
-# Fits one text and one image workload per execution style; exits nonzero
-# unless both plan fused regions, stay byte-identical to the unfused
-# whole-dataset path, and shrink the modeled peak intermediate footprint.
+# Fits one text and one image workload with operator fusion on and off;
+# exits nonzero unless both plan fused regions, stay byte-identical to the
+# unfused plans, and shrink the modeled peak intermediate footprint.
 (cd build/bench && ./bench_fusion --smoke --no-bench-json > /dev/null)
 
 if [[ "$RUN_SANITIZED" == 1 ]]; then

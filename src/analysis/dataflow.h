@@ -58,7 +58,7 @@ ValidationReport CheckDataflow(const PhysicalPlan& plan,
 
 /// Copies the inference result onto the plan's nodes (the
 /// PlannedNode::inferred_* fields, gated by dataflow_annotated), making the
-/// facts visible to plan_dump/explain and the serving-cost prior.
+/// facts visible to explain and the serving-cost prior.
 void AnnotatePlan(PhysicalPlan* plan, const DataflowResult& flow);
 
 /// A maximal chain of single-input pure / seeded-deterministic row-wise

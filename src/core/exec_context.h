@@ -28,26 +28,15 @@ namespace cache {
 class ArtifactCatalog;
 }  // namespace cache
 
-/// How the PlanRunner evaluates fused regions of the physical plan.
-enum class ExecStyle {
-  /// Materialize every node's full output (the pre-fusion behavior; fused
-  /// regions are planned but executed node-at-a-time).
-  kWholeDataset,
-  /// Stream cache-resident chunks of max_batch_size records through each
-  /// fused region, materializing only the region tail.
-  kChunked,
-};
-
-/// Execution-style knobs, part of the shared environment: a PipelineExecutor
-/// or PipelineServer sets them once and every run (and every serving
-/// request context minted via MakeRequestContext) inherits them. Chunked
-/// and whole-dataset execution are byte-identical in every observable
-/// effect — the knob trades peak intermediate memory against chunk-loop
-/// overhead, never results.
+/// Execution knobs, part of the shared environment: a PipelineExecutor or
+/// PipelineServer sets them once and every run (and every serving request
+/// context minted via MakeRequestContext) inherits them. Which chains fuse
+/// is the plan's decision (OptimizationConfig::operator_fusion), not the
+/// context's; the chunk size only trades peak intermediate memory against
+/// chunk-loop overhead, never results.
 struct ExecOptions {
-  /// Records per chunk when streaming a fused region (chunked style).
+  /// Records per chunk when the PlanRunner streams a fused region.
   size_t max_batch_size = 1024;
-  ExecStyle style = ExecStyle::kChunked;
 };
 
 /// Everything an operator needs at execution time: the cluster description,
@@ -109,7 +98,7 @@ class ExecContext {
   obs::TelemetryHub* telemetry() const { return telemetry_; }
   void set_telemetry(obs::TelemetryHub* telemetry) { telemetry_ = telemetry; }
 
-  /// Execution-style knobs (chunked vs whole-dataset, chunk size).
+  /// Execution knobs (the fused-region chunk size).
   const ExecOptions& exec_options() const { return exec_options_; }
   void set_exec_options(const ExecOptions& options) {
     exec_options_ = options;
@@ -159,7 +148,7 @@ class ExecContext {
   /// solvers whose iteration count is data dependent) call this during
   /// ApplyAny/FitAny; the executor reads and clears it afterwards, falling
   /// back to the operator's a-priori cost estimate when absent. The slot is
-  /// per calling thread so branch-parallel node execution cannot attribute
+  /// per calling thread so concurrently scheduled nodes cannot attribute
   /// one branch's report to another: PlanRunner invokes the operator and
   /// takes its cost on the same scheduler thread.
   void ReportActualCost(const CostProfile& cost) {

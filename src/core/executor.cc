@@ -121,7 +121,7 @@ std::shared_ptr<PhysicalPlan> PipelineExecutor::Compile(
   manager.Run(plan.get(), &pctx);
 
   // --- Final inference over the optimized plan: annotate every node with
-  // its inferred facts (surfaced by plan_dump/explain and consumed by the
+  // its inferred facts (surfaced by explain and consumed by the
   // serving admission prior). The fusibility report itself is logged by the
   // FusionPass, which consumes the chains.
   const analysis::DataflowResult flow = analysis::InferDataflow(*plan);

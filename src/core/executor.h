@@ -137,7 +137,7 @@ class PipelineExecutor {
   /// Compiles a logical graph to an optimized PhysicalPlan without
   /// executing the training pass: validates the submitted graph, lowers it
   /// (over a private copy), and runs the standard optimizer passes. Used by
-  /// FitGraph and by the plan_dump / pipeline_lint tools.
+  /// FitGraph and by the explain / pipeline_lint tools.
   std::shared_ptr<PhysicalPlan> Compile(const PipelineGraph& graph,
                                         int placeholder, int sink);
 

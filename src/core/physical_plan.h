@@ -245,7 +245,8 @@ struct FusedRegion {
 /// The explicit physical plan: a lowered copy of the logical PipelineGraph
 /// annotated with every optimizer decision. Produced by LowerToPhysical,
 /// rewritten by the pass manager (src/optimizer/pass_manager.h), executed
-/// by PlanRunner (src/core/plan_runner.h), and printed by tools/plan_dump.
+/// by PlanRunner (src/core/plan_runner.h), and printed by tools/explain
+/// --compile-only.
 struct PhysicalPlan {
   std::shared_ptr<PipelineGraph> graph;
   int placeholder = -1;
@@ -291,13 +292,13 @@ struct PhysicalPlan {
   int NumTrainNodes() const;
   int NumRuntimeNodes() const;
 
-  /// Human-readable plan listing (plan_dump default output). With
+  /// Human-readable plan listing (`explain --compile-only` output). With
   /// `runtime_only` the listing is the servable view: only apply-masked
   /// (runtime) nodes, no train terminals, no compile-time decision log —
   /// exactly what ServablePipeline executes per request.
   std::string ToString(bool runtime_only = false) const;
-  /// Machine-readable plan listing (plan_dump --json); `runtime_only` as
-  /// for ToString.
+  /// Machine-readable plan listing (`explain --compile-only --json`);
+  /// `runtime_only` as for ToString.
   std::string ToJson(bool runtime_only = false) const;
 };
 

@@ -1,7 +1,9 @@
 #include "src/core/plan_runner.h"
 
 #include <algorithm>
-#include <deque>
+#include <functional>
+#include <optional>
+#include <queue>
 #include <thread>
 #include <utility>
 
@@ -73,228 +75,164 @@ obs::TracePhase PhaseFor(ExecMode mode) {
   return obs::TracePhase::kTrain;
 }
 
+/// The span fields every execution of `pn` carries, real or synthetic.
+obs::TraceSpan NodeSpan(const PlannedNode& pn, ExecMode mode) {
+  obs::TraceSpan span;
+  span.node_id = pn.id;
+  span.name = pn.name;
+  span.kind = NodeKindName(pn.kind);
+  span.phase = PhaseFor(mode);
+  return span;
+}
+
 }  // namespace
 
 PlanRunner::PlanRunner(PhysicalPlan* plan, ExecContext* ctx)
     : plan_(plan), ctx_(ctx) {}
 
+std::shared_ptr<TransformerBase> PlanRunner::TransformerFor(int id) const {
+  const PlannedNode& pn = plan_->nodes[id];
+  if (pn.kind != NodeKind::kApplyModel) return pn.physical_transformer;
+  if (mode_ != ExecMode::kApply) return models_[pn.model_input];
+  const auto it = apply_models_->find(pn.model_input);
+  return it == apply_models_->end() ? nullptr : it->second;
+}
+
+template <typename Op>
+void PlanRunner::ChargeOperator(int id, const Op& op, const DataStats& in_stats,
+                                const std::optional<CostProfile>& actual,
+                                double scale) {
+  const PlannedNode& pn = plan_->nodes[id];
+  NodeOutcome& out = outcomes_[id];
+  obs::TraceSpan& span = out.span;
+  out.op_name = op.Name();
+  // Fitted models and the runtime pass are labeled with the operator that
+  // ran; planned transformers and estimators with their chosen option.
+  span.physical = pn.kind == NodeKind::kApplyModel || mode_ == ExecMode::kApply
+                      ? out.op_name
+                      : pn.physical_name;
+  span.predicted = op.EstimateCost(in_stats, ctx_->resources().num_nodes);
+  span.observed = actual;
+  span.records_in = in_stats.num_records;
+  out.in_stats = in_stats;
+  if (InProfileMode()) {
+    span.used_observed = actual.has_value();
+    out.record_observation = true;
+    out.charge_cost = actual.value_or(span.predicted);
+    out.charge_cost.rounds = 0;  // Sample jobs skip full-cluster barriers.
+  } else {
+    // With a virtual scale, kernel-reported costs describe the real (small)
+    // run; use the cost model at the scaled statistics instead.
+    span.used_observed = actual.has_value() && scale <= 1.0;
+    out.record_observation = scale <= 1.0;
+    out.charge_cost = span.used_observed ? *actual : span.predicted;
+  }
+  out.seconds = ctx_->resources().SecondsFor(out.charge_cost);
+}
+
 void PlanRunner::ExecuteNode(int id) {
   // Region members already executed by a fused streaming pass.
   if (outcomes_[id].executed) return;
   const PlannedNode& pn = plan_->nodes[id];
-  if (pn.fused_region >= 0 && !InProfileMode()) {
+  const bool profile = InProfileMode();
+  if (pn.fused_region >= 0 && !profile) {
     const FusedRegion& region = plan_->fused_regions[pn.fused_region];
     // Only the head dispatches the region; on fallback every member runs
-    // through the normal whole-dataset body below.
+    // through the node-at-a-time body below.
     if (region.nodes.front() == id && TryExecuteFusedRegion(region)) return;
   }
-  const GraphNode& node = plan_->graph->node(id);
+  KS_CHECK(pn.kind != NodeKind::kPlaceholder)
+      << "placeholder cannot be on the training path";
+  KS_CHECK(mode_ != ExecMode::kApply || (pn.kind != NodeKind::kSource &&
+                                         pn.kind != NodeKind::kEstimator))
+      << "unexpected " << NodeKindName(pn.kind) << " on the runtime path";
   const auto& resources = ctx_->resources();
-  const bool profile = InProfileMode();
   NodeOutcome& out = outcomes_[id];
   out.executed = true;
+  out.span = NodeSpan(pn, mode_);
   obs::TraceSpan& span = out.span;
-  span.node_id = id;
-  span.name = pn.name;
-  span.kind = NodeKindName(pn.kind);
-  span.phase = PhaseFor(mode_);
 
-  // A node the ReusePass rewrote into a catalog read: fetch the stored
-  // payload instead of computing. Fit mode only — profile passes run before
-  // the ReusePass marks anything, and the runtime path never reuses. The
-  // payload carries its own virtual scale (preserved by the codec), so no
-  // rescaling happens here. Fetch is const on the catalog (no promotion, no
-  // access-order update), keeping parallel-branch execution race-free; the
-  // entry's Touch lands in the id-ordered flush.
-  if (mode_ == ExecMode::kFit && pn.reused) {
-    cache::ArtifactCatalog* catalog = ctx_->artifact_catalog();
-    KS_CHECK(catalog != nullptr)
-        << "node " << pn.name << " marked reused without a catalog";
+  // Sources and nodes the ReusePass rewrote into catalog reads load their
+  // output instead of computing it. Reuse is fit mode only — profile passes
+  // run before the ReusePass marks anything, and the runtime path never
+  // reuses. A catalog payload carries its own virtual scale (preserved by
+  // the codec), so no rescaling happens here. Fetch is const on the catalog
+  // (no promotion, no access-order update), keeping parallel-branch
+  // execution race-free; the entry's Touch lands in the id-ordered flush.
+  const bool reused = mode_ == ExecMode::kFit && pn.reused;
+  if (pn.kind == NodeKind::kSource || reused) {
     Timer timer;
-    outputs_[id] = catalog->Fetch(pn.reuse_fingerprint);
+    if (reused) {
+      cache::ArtifactCatalog* catalog = ctx_->artifact_catalog();
+      KS_CHECK(catalog != nullptr)
+          << "node " << pn.name << " marked reused without a catalog";
+      outputs_[id] = catalog->Fetch(pn.reuse_fingerprint);
+      KS_CHECK(outputs_[id] != nullptr)
+          << "catalog entry vanished for node " << pn.name << " ("
+          << pn.reuse_fingerprint << ")";
+      span.physical = "catalog:" + pn.reuse_tier;
+    } else {
+      const AnyDataset& data = plan_->graph->node(id).bound_data;
+      outputs_[id] = profile ? data->SamplePrefix(SampleSize()) : data;
+    }
     span.wall_seconds = timer.ElapsedSeconds();
-    KS_CHECK(outputs_[id] != nullptr)
-        << "catalog entry vanished for node " << pn.name << " ("
-        << pn.reuse_fingerprint << ")";
     out.out_stats = outputs_[id]->ComputeStats();
     const double per_node_bytes =
         out.out_stats.TotalBytes() / std::max(1, resources.num_nodes);
-    span.physical = "catalog:" + pn.reuse_tier;
-    if (pn.reuse_tier == "memory") {
+    if (reused && pn.reuse_tier == "memory") {
       // Priced as a cluster-parallel memory scan of the stored bytes.
       out.charge_cost = CostProfile(0.0, per_node_bytes, 0.0);
       out.seconds = resources.SecondsFor(out.charge_cost);
     } else {
-      // Disk reads are charged directly in disk seconds, like sources
-      // (no CostProfile axis models disk bandwidth).
+      // Disk reads are charged directly in disk seconds (no CostProfile
+      // axis models disk bandwidth).
       out.seconds = resources.DiskReadSeconds(per_node_bytes);
     }
     span.predicted.bytes = per_node_bytes;
     span.partitions = outputs_[id]->NumPartitions();
     span.records_in = out.out_stats.num_records;
     out.sample_records = out.out_stats.num_records;
-    return;
-  }
-
-  switch (pn.kind) {
-    case NodeKind::kSource: {
-      KS_CHECK(mode_ != ExecMode::kApply)
-          << "unexpected " << NodeKindName(pn.kind) << " on the runtime path";
-      if (profile) {
-        Timer timer;
-        outputs_[id] = node.bound_data->SamplePrefix(SampleSize());
-        span.wall_seconds = timer.ElapsedSeconds();
-      } else {
-        outputs_[id] = node.bound_data;
-      }
-      out.out_stats = outputs_[id]->ComputeStats();
-      out.seconds = resources.DiskReadSeconds(
-          out.out_stats.TotalBytes() / std::max(1, resources.num_nodes));
-      span.predicted.bytes =
-          out.out_stats.TotalBytes() / std::max(1, resources.num_nodes);
-      span.partitions = outputs_[id]->NumPartitions();
-      span.records_in = out.out_stats.num_records;
-      out.sample_records = out.out_stats.num_records;
-      break;
-    }
-    case NodeKind::kTransformer:
-    case NodeKind::kGather: {
-      std::vector<AnyDataset> inputs;
-      for (int dep : pn.inputs) {
-        KS_CHECK(outputs_[dep] != nullptr)
-            << "runtime node " << pn.name << " depends on train-only data";
-        inputs.push_back(outputs_[dep]);
-      }
-      const double scale = inputs[0]->virtual_scale();
-      const DataStats in_stats = inputs[0]->ComputeStats();
-      if (profile && select_ != nullptr && pn.optimizable &&
-          pn.chosen_option < 0) {
-        select_(id, in_stats);  // may rewrite pn via SetChosenOption
-      }
-      const std::shared_ptr<TransformerBase> op = pn.physical_transformer;
-      out.op_name = op->Name();
-      span.physical = mode_ == ExecMode::kApply ? out.op_name
-                                                : pn.physical_name;
-      span.predicted = op->EstimateCost(in_stats, resources.num_nodes);
-      ctx_->BeginOperatorScope();
-      Timer timer;
-      outputs_[id] = op->ApplyAny(inputs, ctx_);
-      span.wall_seconds = timer.ElapsedSeconds();
-      if (!profile) outputs_[id]->set_virtual_scale(scale);
-      const auto actual = ctx_->TakeActualCost();
-      span.observed = actual;
-      out.in_stats = in_stats;
-      if (profile) {
-        span.used_observed = actual.has_value();
-        out.record_observation = true;
-        CostProfile cost = actual.has_value() ? *actual : span.predicted;
-        cost.rounds = 0;  // Sample jobs skip full-cluster barriers.
-        out.charge_cost = cost;  // also the timeline's per-resource split
-        out.seconds = resources.SecondsFor(cost);
-      } else {
-        // With a virtual scale, kernel-reported costs describe the real
-        // (small) run; use the cost model at the scaled statistics instead.
-        span.used_observed = actual.has_value() && scale <= 1.0;
-        out.record_observation = scale <= 1.0;
-        out.charge_cost = span.used_observed ? *actual : span.predicted;
-        out.seconds = resources.SecondsFor(out.charge_cost);
-      }
-      out.out_stats = outputs_[id]->ComputeStats();
-      span.partitions = outputs_[id]->NumPartitions();
-      span.records_in = in_stats.num_records;
-      out.sample_records = out.out_stats.num_records;
-      break;
-    }
-    case NodeKind::kEstimator: {
-      KS_CHECK(mode_ != ExecMode::kApply)
-          << "unexpected " << NodeKindName(pn.kind) << " on the runtime path";
-      const AnyDataset data = outputs_[pn.inputs[0]];
-      const AnyDataset labels =
-          pn.inputs.size() > 1 ? outputs_[pn.inputs[1]] : nullptr;
-      const double scale = data->virtual_scale();
-      const DataStats in_stats = data->ComputeStats();
-      if (profile && select_ != nullptr && pn.optimizable &&
-          pn.chosen_option < 0) {
-        select_(id, in_stats);
-      }
-      const std::shared_ptr<EstimatorBase> est = pn.physical_estimator;
-      out.op_name = est->Name();
-      span.physical = pn.physical_name;
-      span.predicted = est->EstimateCost(in_stats, resources.num_nodes);
-      ctx_->BeginOperatorScope();
-      Timer timer;
-      models_[id] = est->FitAny(data, labels, ctx_);
-      span.wall_seconds = timer.ElapsedSeconds();
-      const auto actual = ctx_->TakeActualCost();
-      span.observed = actual;
-      out.in_stats = in_stats;
-      if (profile) {
-        span.used_observed = actual.has_value();
-        out.record_observation = true;
-        CostProfile cost = actual.has_value() ? *actual : span.predicted;
-        cost.rounds = 0;  // Sample jobs skip full-cluster barriers.
-        out.charge_cost = cost;  // also the timeline's per-resource split
-        out.seconds = resources.SecondsFor(cost);
-      } else {
-        span.used_observed = actual.has_value() && scale <= 1.0;
-        out.record_observation = scale <= 1.0;
-        out.charge_cost = span.used_observed ? *actual : span.predicted;
-        out.seconds = resources.SecondsFor(out.charge_cost);
-      }
-      span.partitions = data->NumPartitions();
-      span.records_in = in_stats.num_records;
-      out.sample_records = data->NumRecords();
-      break;
-    }
-    case NodeKind::kApplyModel: {
-      const AnyDataset data = outputs_[pn.inputs[0]];
-      KS_CHECK(data != nullptr)
+  } else {
+    // Every other kind runs one operator: a transformer or gather, a
+    // fitted model, or an estimator's fit.
+    std::vector<AnyDataset> inputs;
+    for (int dep : pn.inputs) {
+      KS_CHECK(outputs_[dep] != nullptr)
           << "runtime node " << pn.name << " depends on train-only data";
-      const double scale = data->virtual_scale();
-      const DataStats in_stats = data->ComputeStats();
-      std::shared_ptr<TransformerBase> model;
-      if (mode_ == ExecMode::kApply) {
-        auto it = apply_models_->find(pn.model_input);
-        KS_CHECK(it != apply_models_->end())
-            << "no model fitted for node " << pn.model_input;
-        model = it->second;
-      } else {
-        model = models_[pn.model_input];
-        KS_CHECK(model != nullptr)
-            << "no model available for node " << pn.model_input;
-      }
-      out.op_name = model->Name();
-      span.physical = out.op_name;
-      span.predicted = model->EstimateCost(in_stats, resources.num_nodes);
-      ctx_->BeginOperatorScope();
-      Timer timer;
-      outputs_[id] = model->ApplyAny({data}, ctx_);
-      span.wall_seconds = timer.ElapsedSeconds();
+      inputs.push_back(outputs_[dep]);
+    }
+    const double scale = inputs[0]->virtual_scale();
+    const DataStats in_stats = inputs[0]->ComputeStats();
+    if (profile && select_ != nullptr && pn.optimizable &&
+        pn.chosen_option < 0) {
+      select_(id, in_stats);  // may rewrite pn via SetChosenOption
+    }
+    const bool fit = pn.kind == NodeKind::kEstimator;
+    const std::shared_ptr<TransformerBase> op =
+        fit ? nullptr : TransformerFor(id);
+    KS_CHECK(fit || op != nullptr)
+        << "no model fitted for node " << pn.model_input;
+    ctx_->BeginOperatorScope();
+    Timer timer;
+    if (fit) {
+      models_[id] = pn.physical_estimator->FitAny(
+          inputs[0], inputs.size() > 1 ? inputs[1] : nullptr, ctx_);
+    } else {
+      outputs_[id] = op->ApplyAny(inputs, ctx_);
+    }
+    span.wall_seconds = timer.ElapsedSeconds();
+    const std::optional<CostProfile> actual = ctx_->TakeActualCost();
+    if (fit) {
+      ChargeOperator(id, *pn.physical_estimator, in_stats, actual, scale);
+      span.partitions = inputs[0]->NumPartitions();
+      out.sample_records = inputs[0]->NumRecords();
+    } else {
+      ChargeOperator(id, *op, in_stats, actual, scale);
       if (!profile) outputs_[id]->set_virtual_scale(scale);
-      const auto actual = ctx_->TakeActualCost();
-      span.observed = actual;
-      out.in_stats = in_stats;
-      if (profile) {
-        span.used_observed = actual.has_value();
-        out.record_observation = true;
-        CostProfile cost = actual.has_value() ? *actual : span.predicted;
-        cost.rounds = 0;  // Sample jobs skip full-cluster barriers.
-        out.charge_cost = cost;  // also the timeline's per-resource split
-        out.seconds = resources.SecondsFor(cost);
-      } else {
-        span.used_observed = actual.has_value() && scale <= 1.0;
-        out.record_observation = scale <= 1.0;
-        out.charge_cost = span.used_observed ? *actual : span.predicted;
-        out.seconds = resources.SecondsFor(out.charge_cost);
-      }
       out.out_stats = outputs_[id]->ComputeStats();
       span.partitions = outputs_[id]->NumPartitions();
-      span.records_in = in_stats.num_records;
       out.sample_records = out.out_stats.num_records;
-      break;
     }
-    case NodeKind::kPlaceholder:
-      KS_CHECK(false) << "placeholder cannot be on the training path";
   }
 
   // Cost-profile sanity: a NaN or negative prediction would silently
@@ -311,9 +249,6 @@ void PlanRunner::ExecuteNode(int id) {
 }
 
 bool PlanRunner::TryExecuteFusedRegion(const FusedRegion& region) {
-  if (InProfileMode()) return false;
-  if (ctx_->exec_options().style != ExecStyle::kChunked) return false;
-  const auto& resources = ctx_->resources();
   const int head = region.nodes.front();
   const int tail = region.nodes.back();
   const PlannedNode& head_pn = plan_->nodes[head];
@@ -330,19 +265,7 @@ bool PlanRunner::TryExecuteFusedRegion(const FusedRegion& region) {
   std::vector<std::shared_ptr<TransformerBase>> ops;
   ops.reserve(k);
   for (int id : region.nodes) {
-    const PlannedNode& pn = plan_->nodes[id];
-    std::shared_ptr<TransformerBase> op;
-    if (pn.kind == NodeKind::kApplyModel) {
-      if (mode_ == ExecMode::kApply) {
-        auto it = apply_models_->find(pn.model_input);
-        if (it == apply_models_->end()) return false;
-        op = it->second;
-      } else {
-        op = models_[pn.model_input];
-      }
-    } else {
-      op = pn.physical_transformer;
-    }
+    std::shared_ptr<TransformerBase> op = TransformerFor(id);
     if (op == nullptr || !op->SupportsChunkedApply()) return false;
     ops.push_back(std::move(op));
   }
@@ -370,7 +293,7 @@ bool PlanRunner::TryExecuteFusedRegion(const FusedRegion& region) {
       const size_t count = std::min(batch, psize - begin);
       AnyChunk chunk = input->ChunkOf(p, begin, count);
       // Resident bytes counts the interior stages only — exactly the
-      // intermediates the unfused style would materialize as datasets —
+      // intermediates the unfused plan would materialize as datasets —
       // reusing the stat triples buffered for the replay.
       double resident = 0.0;
       for (size_t m = 0; m < k; ++m) {
@@ -394,71 +317,43 @@ bool PlanRunner::TryExecuteFusedRegion(const FusedRegion& region) {
   // report so it cannot leak into the next node scheduled on this thread.
   ctx_->TakeActualCost();
 
-  // Reassemble the tail output serially, preserving the partition layout.
-  std::unique_ptr<ChunkCollectorBase> collector;
+  // Reassemble the tail output serially, preserving the partition layout;
+  // every partition emitted at least one (typed) chunk.
+  std::unique_ptr<ChunkCollectorBase> collector =
+      tail_chunks[0][0]->MakeCollector();
+  collector->Resize(num_parts);
   for (size_t p = 0; p < num_parts; ++p) {
-    for (const AnyChunk& chunk : tail_chunks[p]) {
-      if (collector == nullptr) {
-        collector = chunk->MakeCollector();
-        collector->Resize(num_parts);
-      }
-      collector->Append(p, chunk);
-    }
+    for (const AnyChunk& chunk : tail_chunks[p]) collector->Append(p, chunk);
   }
-  KS_CHECK(collector != nullptr);  // every partition emits >= 1 chunk
   outputs_[tail] = collector->Finish();
   outputs_[tail]->set_virtual_scale(scale);
 
   // Fill each member's outcome exactly as unfused execution would have:
-  // predictions from the (replayed) input stats, no observed costs, the
-  // head's input stats computed from the materialized upstream dataset and
-  // the tail's from the materialized output.
+  // the same charge from the (replayed) input stats with no observed cost,
+  // the head's input stats computed from the materialized upstream dataset
+  // and the tail's from the materialized output.
   DataStats in_stats = input->ComputeStats();
   NodeOutcome& head_out = outcomes_[head];
-  head_out.fused_members = static_cast<int>(k);
-  head_out.fused_chunk_peak_bytes = 0.0;
-  for (size_t p = 0; p < num_parts; ++p) {
-    head_out.fused_chunk_peak_bytes =
-        std::max(head_out.fused_chunk_peak_bytes, part_peak[p]);
-  }
   for (size_t m = 0; m < k; ++m) {
     const int id = region.nodes[m];
-    const PlannedNode& pn = plan_->nodes[id];
     NodeOutcome& out = outcomes_[id];
     out.executed = true;
-    obs::TraceSpan& span = out.span;
-    span.node_id = id;
-    span.name = pn.name;
-    span.kind = NodeKindName(pn.kind);
-    span.phase = PhaseFor(mode_);
-    out.op_name = ops[m]->Name();
-    if (pn.kind == NodeKind::kApplyModel) {
-      span.physical = out.op_name;
-    } else {
-      span.physical =
-          mode_ == ExecMode::kApply ? out.op_name : pn.physical_name;
-    }
-    span.predicted = ops[m]->EstimateCost(in_stats, resources.num_nodes);
-    span.wall_seconds = m == 0 ? wall : 0.0;
-    span.observed = std::nullopt;
-    span.used_observed = false;
-    out.in_stats = in_stats;
-    out.record_observation = scale <= 1.0;
-    out.charge_cost = span.predicted;
-    out.seconds = resources.SecondsFor(out.charge_cost);
-    DataStats out_stats;
+    out.span = NodeSpan(plan_->nodes[id], mode_);
+    out.span.wall_seconds = m == 0 ? wall : 0.0;
+    ChargeOperator(id, *ops[m], in_stats, std::nullopt, scale);
     if (m + 1 < k) {
-      out_stats = ReplayStats(interior_stats[m], scale);
-      head_out.fused_bytes_avoided += out_stats.TotalBytes();
+      out.out_stats = ReplayStats(interior_stats[m], scale);
+      head_out.fused_bytes_avoided += out.out_stats.TotalBytes();
     } else {
-      out_stats = outputs_[tail]->ComputeStats();
+      out.out_stats = outputs_[tail]->ComputeStats();
     }
-    out.out_stats = out_stats;
-    span.partitions = num_parts;
-    span.records_in = in_stats.num_records;
-    out.sample_records = out_stats.num_records;
-    in_stats = out_stats;
+    out.span.partitions = num_parts;
+    out.sample_records = out.out_stats.num_records;
+    in_stats = out.out_stats;
   }
+  head_out.fused_members = static_cast<int>(k);
+  head_out.fused_chunk_peak_bytes =
+      *std::max_element(part_peak.begin(), part_peak.end());
   return true;
 }
 
@@ -625,20 +520,17 @@ void PlanRunner::FlushOutcome(int id) {
       // set (fit mode only — apply recomputes the runtime path) or misses;
       // apply-model nodes additionally fetch their fitted model, which is
       // always materialized.
-      for (int dep : pn.inputs) {
-        const bool hit = mode_ == ExecMode::kFit && plan_->cache_set[dep];
+      auto access = [&](bool hit) {
         timeline->RecordCacheAccess(hit);
         if (ctx_->metrics() != nullptr) {
           ctx_->metrics()->Increment(hit ? "exec.cache_hits"
                                          : "exec.cache_misses");
         }
+      };
+      for (int dep : pn.inputs) {
+        access(mode_ == ExecMode::kFit && plan_->cache_set[dep]);
       }
-      if (pn.kind == NodeKind::kApplyModel) {
-        timeline->RecordCacheAccess(true);
-        if (ctx_->metrics() != nullptr) {
-          ctx_->metrics()->Increment("exec.cache_hits");
-        }
-      }
+      if (pn.kind == NodeKind::kApplyModel) access(true);
       if (mode_ == ExecMode::kFit && plan_->cache_set[id]) {
         timeline->RecordResidentBytes(out.out_stats.TotalBytes());
       }
@@ -716,111 +608,119 @@ void PlanRunner::FlushOutcome(int id) {
   }
 }
 
-void PlanRunner::RunSerial(const std::vector<int>& exec_ids) {
-  for (int id : exec_ids) ExecuteNode(id);
-}
-
-void PlanRunner::RunParallel(const std::vector<int>& exec_ids) {
+void PlanRunner::Schedule(const std::vector<int>& exec_ids) {
   const int n = plan_->graph->size();
   std::vector<bool> in_set(n, false);
   for (int id : exec_ids) in_set[id] = true;
   std::vector<int> indegree(n, 0);
   std::vector<std::vector<int>> succ(n);
+  auto add_edge = [&](int dep, int id) {
+    if (!in_set[dep]) return;
+    ++indegree[id];
+    succ[dep].push_back(id);
+  };
   for (int id : exec_ids) {
-    for (int dep : plan_->graph->Dependencies(id)) {
-      if (in_set[dep]) {
-        ++indegree[id];
-        succ[dep].push_back(id);
-      }
-    }
-  }
-  // A fused region executes wholesale at its head's schedule slot, so the
-  // head additionally waits on every non-head member's region-external
-  // dependencies (in practice: fitted models). In-region deps are already
-  // ordered by the chain itself and would only create cycles here.
-  for (int id : exec_ids) {
+    for (int dep : plan_->graph->Dependencies(id)) add_edge(dep, id);
+    // A fused region executes wholesale at its head's schedule slot, so the
+    // head additionally waits on every non-head member's region-external
+    // dependencies (in practice: fitted models). In-region deps are already
+    // ordered by the chain itself and would only create cycles here.
+    // Profile passes never fuse.
     const PlannedNode& pn = plan_->nodes[id];
-    if (pn.fused_region < 0) continue;
-    const FusedRegion& region = plan_->fused_regions[pn.fused_region];
-    if (region.nodes.front() != id) continue;
-    std::vector<bool> in_region(n, false);
-    for (int member : region.nodes) in_region[member] = true;
-    for (int member : region.nodes) {
-      if (member == id) continue;
-      for (int dep : plan_->graph->Dependencies(member)) {
-        if (in_set[dep] && !in_region[dep]) {
-          ++indegree[id];
-          succ[dep].push_back(id);
+    if (InProfileMode() || pn.fused_region < 0) continue;
+    const std::vector<int>& members =
+        plan_->fused_regions[pn.fused_region].nodes;
+    if (members.front() != id) continue;
+    for (size_t m = 1; m < members.size(); ++m) {
+      for (int dep : plan_->graph->Dependencies(members[m])) {
+        if (std::find(members.begin(), members.end(), dep) == members.end()) {
+          add_edge(dep, id);
         }
       }
     }
   }
 
-  // Dedicated scheduler threads over a ready queue. Node bodies must not
-  // run on the shared ThreadPool: operators block in ParallelFor on that
-  // pool, and ThreadPool::Wait waits for ALL in-flight tasks — scheduling
-  // nodes there would deadlock a node task waiting on its own pool.
+  // Lowest ready id first: a lone worker runs nodes in ascending id order,
+  // which profile passes need for select-hook calls and decision-log
+  // entries, so they run on the calling thread alone. Fit and apply start a
+  // helper only when a node is ready and no worker is idle — a chain starts
+  // none. Node bodies never run on the shared ThreadPool: operators block in
+  // ParallelFor on it, and its Wait waits for ALL in-flight tasks.
+  const size_t max_workers =
+      InProfileMode() || !plan_->config.parallel_branches
+          ? 1
+          : std::min<size_t>(std::max(2u, std::thread::hardware_concurrency()),
+                             8);
   Mutex mu;
   CondVar cv;
-  std::deque<int> ready;
-  size_t remaining = exec_ids.size();
+  std::priority_queue<int, std::vector<int>, std::greater<int>> ready;
   for (int id : exec_ids) {
-    if (indegree[id] == 0) ready.push_back(id);
+    if (indegree[id] == 0) ready.push(id);
   }
-
-  auto worker = [&]() {
+  size_t remaining = exec_ids.size();
+  size_t idle = 0;
+  std::vector<std::thread> helpers;
+  std::function<void()> worker = [&]() {
+    int done = -1;
     for (;;) {
       int id = -1;
       {
         MutexLock lock(&mu);
-        while (ready.empty() && remaining > 0) cv.Wait(&mu);
+        if (done >= 0) {
+          --remaining;
+          for (int s : succ[done]) {
+            if (--indegree[s] == 0) ready.push(s);
+          }
+          cv.NotifyAll();
+        }
+        while (ready.empty() && remaining > 0) {
+          // Every other worker idle too: nothing can ever become ready.
+          KS_CHECK(idle < helpers.size())
+              << "plan scheduler stalled (cyclic dependencies?)";
+          ++idle;
+          cv.Wait(&mu);
+          --idle;
+        }
         if (ready.empty()) return;
-        id = ready.front();
-        ready.pop_front();
+        id = ready.top();
+        ready.pop();
+        if (!ready.empty() && idle == 0 && helpers.size() + 1 < max_workers) {
+          helpers.emplace_back(worker);
+        }
       }
       ExecuteNode(id);
-      {
-        MutexLock lock(&mu);
-        --remaining;
-        for (int s : succ[id]) {
-          if (--indegree[s] == 0) ready.push_back(s);
-        }
-        cv.NotifyAll();
-      }
+      done = id;
     }
   };
-
-  // At least two workers even on single-core hosts, so the concurrent
-  // scheduling path is always exercised (and sanitizer-checked) wherever
-  // parallel_branches is on.
-  const size_t hw = std::max(2u, std::thread::hardware_concurrency());
-  const size_t workers =
-      std::min<size_t>(exec_ids.size(), std::min<size_t>(hw, 8));
-  std::vector<std::thread> threads;
-  threads.reserve(workers > 0 ? workers - 1 : 0);
-  for (size_t i = 1; i < workers; ++i) threads.emplace_back(worker);
   worker();  // the calling thread schedules too
-  for (auto& t : threads) t.join();
-  KS_CHECK(remaining == 0) << "plan scheduler stalled (cyclic dependencies?)";
+  for (std::thread& t : helpers) t.join();
 }
 
-RunResult PlanRunner::Run(ExecMode mode, const SelectHook& select) {
-  KS_CHECK(mode != ExecMode::kApply) << "use RunApply for the runtime path";
+std::vector<int> PlanRunner::RunPass(
+    ExecMode mode, const SelectHook& select, const AnyDataset& input,
+    const std::map<int, std::shared_ptr<TransformerBase>>* models) {
   ValidateFaultPlan(*plan_, ctx_);
   mode_ = mode;
   select_ = select;
-  apply_models_ = nullptr;
+  apply_models_ = models;
   const int n = plan_->graph->size();
   outputs_.assign(n, nullptr);
   models_.assign(n, nullptr);
   outcomes_.assign(n, NodeOutcome());
+  catalog_publish_.assign(n, false);
+  if (mode == ExecMode::kApply) {
+    KS_CHECK(plan_->placeholder >= 0) << "plan has no runtime placeholder";
+    outputs_[plan_->placeholder] = input;
+  }
 
+  // Apply runs the runtime path. The other passes run the training path,
+  // minus nodes pruned by cross-run reuse: reused descendants fully cover
+  // them (profile passes precede the ReusePass, so the markers are never
+  // set there).
   std::vector<int> exec_ids;
   for (int id = 0; id < n; ++id) {
-    // Nodes pruned by cross-run reuse are fully covered by reused
-    // descendants; the fit pass never runs them (profile passes precede the
-    // ReusePass, so the markers are never set there).
-    if (plan_->nodes[id].train && !plan_->nodes[id].reuse_pruned) {
+    const PlannedNode& pn = plan_->nodes[id];
+    if (mode == ExecMode::kApply ? pn.runtime : pn.train && !pn.reuse_pruned) {
       exec_ids.push_back(id);
     }
   }
@@ -828,7 +728,6 @@ RunResult PlanRunner::Run(ExecMode mode, const SelectHook& select) {
   // Publication set for the catalog write-through: pure-lineage transformer
   // and gather outputs this fit computes (reused nodes are refreshed via
   // Touch instead). Decided once here so the id-ordered flush stays cheap.
-  catalog_publish_.assign(n, false);
   if (mode == ExecMode::kFit && plan_->config.cross_run_reuse &&
       ctx_->artifact_catalog() != nullptr) {
     const std::vector<bool> pure = PureLineageMask(*plan_);
@@ -839,27 +738,24 @@ RunResult PlanRunner::Run(ExecMode mode, const SelectHook& select) {
           (pn.kind == NodeKind::kTransformer || pn.kind == NodeKind::kGather);
     }
   }
-
   if (mode == ExecMode::kFit && ctx_->timeline() != nullptr) {
     ctx_->timeline()->NoteCacheBudget(plan_->cache_budget_bytes);
   }
 
-  // Profile passes stay serial: operator selection must see nodes in
-  // topological order so upstream choices shape downstream samples.
-  const bool parallel = plan_->config.parallel_branches && !InProfileMode() &&
-                        exec_ids.size() > 1;
-  if (parallel) {
-    RunParallel(exec_ids);
-  } else {
-    RunSerial(exec_ids);
-  }
+  Schedule(exec_ids);
   for (int id : exec_ids) FlushOutcome(id);
   if (ctx_->telemetry() != nullptr) {
     // The ledger total is the run's virtual clock: ticking here closes
     // every window this pass's charges crossed.
     ctx_->telemetry()->Tick(ctx_->ledger()->TotalSeconds());
   }
+  return exec_ids;
+}
 
+RunResult PlanRunner::Run(ExecMode mode, const SelectHook& select) {
+  KS_CHECK(mode != ExecMode::kApply) << "use RunApply for the runtime path";
+  const std::vector<int> exec_ids = RunPass(mode, select, nullptr, nullptr);
+  const int n = plan_->graph->size();
   RunResult result;
   result.node_seconds.assign(n, 0.0);
   result.out_stats.assign(n, DataStats());
@@ -876,33 +772,7 @@ RunResult PlanRunner::Run(ExecMode mode, const SelectHook& select) {
 AnyDataset PlanRunner::RunApply(
     const AnyDataset& input,
     const std::map<int, std::shared_ptr<TransformerBase>>& models) {
-  ValidateFaultPlan(*plan_, ctx_);
-  mode_ = ExecMode::kApply;
-  select_ = nullptr;
-  apply_models_ = &models;
-  const int n = plan_->graph->size();
-  outputs_.assign(n, nullptr);
-  models_.assign(n, nullptr);
-  outcomes_.assign(n, NodeOutcome());
-  KS_CHECK(plan_->placeholder >= 0) << "plan has no runtime placeholder";
-  outputs_[plan_->placeholder] = input;
-
-  std::vector<int> exec_ids;
-  for (int id = 0; id < n; ++id) {
-    if (plan_->nodes[id].runtime) exec_ids.push_back(id);
-  }
-  const bool parallel =
-      plan_->config.parallel_branches && exec_ids.size() > 1;
-  if (parallel) {
-    RunParallel(exec_ids);
-  } else {
-    RunSerial(exec_ids);
-  }
-  for (int id : exec_ids) FlushOutcome(id);
-  if (ctx_->telemetry() != nullptr) {
-    ctx_->telemetry()->Tick(ctx_->ledger()->TotalSeconds());
-  }
-
+  RunPass(ExecMode::kApply, nullptr, input, &models);
   KS_CHECK(outputs_[plan_->sink] != nullptr);
   return outputs_[plan_->sink];
 }
@@ -912,11 +782,7 @@ void PlanRunner::EmitSyntheticProfileSpans(ExecMode mode) {
   const bool large = mode == ExecMode::kProfileLarge;
   for (const PlannedNode& pn : plan_->nodes) {
     if (!pn.train) continue;
-    obs::TraceSpan span;
-    span.node_id = pn.id;
-    span.name = pn.name;
-    span.kind = NodeKindName(pn.kind);
-    span.phase = PhaseFor(mode);
+    obs::TraceSpan span = NodeSpan(pn, mode);
     span.synthetic = true;
     span.physical = pn.physical_name;
     span.records_in =

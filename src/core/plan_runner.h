@@ -4,6 +4,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,17 +42,18 @@ struct RunResult {
 
 /// The single execution engine for PhysicalPlans. Every mode — the two
 /// sampling passes (§4.1), the full-scale training pass, and
-/// fitted-pipeline apply — runs the same per-node body through the same
-/// instrumentation point: one trace span, one metrics update, and one
-/// profile-store observation per node execution.
+/// fitted-pipeline apply — runs one pass body, one scheduler, and one
+/// charging path per kind of work, with one trace span, one metrics
+/// update, and one profile-store observation per node execution.
 ///
-/// Fit and apply dispatch independent DAG branches concurrently
-/// (OptimizationConfig::parallel_branches) on dedicated scheduler threads;
-/// profile modes stay serial so operator selection sees nodes in
+/// The scheduler runs the lowest ready node id first and starts helper
+/// threads only while independent branches are ready at once (fit and
+/// apply, under OptimizationConfig::parallel_branches); profile passes run
+/// on the calling thread in id order so operator selection sees nodes in
 /// topological order. Virtual seconds are computed per node from the pure
 /// cost model, and all observable effects — trace spans, ledger charges,
 /// metrics, store writes — are buffered per node and flushed in node-id
-/// order after the pass, so parallel runs are bit-identical to serial ones.
+/// order after the pass, so every schedule is bit-identical.
 class PlanRunner {
  public:
   PlanRunner(PhysicalPlan* plan, ExecContext* ctx);
@@ -101,15 +103,31 @@ class PlanRunner {
     faults::FaultOutcome fault;
   };
 
+  /// The body of Run and RunApply: executes the pass's nodes, flushes
+  /// their outcomes in id order, and returns the executed ids.
+  std::vector<int> RunPass(
+      ExecMode mode, const SelectHook& select, const AnyDataset& input,
+      const std::map<int, std::shared_ptr<TransformerBase>>* models);
+  /// Executes `exec_ids` in dependency order, lowest ready id first.
+  void Schedule(const std::vector<int>& exec_ids);
   void ExecuteNode(int id);
   void FlushOutcome(int id);
 
+  /// The transformer node `id` applies: its physical operator, or for an
+  /// apply-model node the fitted model (null when none is available).
+  std::shared_ptr<TransformerBase> TransformerFor(int id) const;
+  /// The one charging body for an operator execution, node-at-a-time or
+  /// fused: which operator ran on `in_stats`, its predicted and reported
+  /// (`actual`) costs, and what is charged for them.
+  template <typename Op>
+  void ChargeOperator(int id, const Op& op, const DataStats& in_stats,
+                      const std::optional<CostProfile>& actual, double scale);
+
   /// Streams cache-resident chunks of the region head's input through every
-  /// member's ApplyChunk, materializing only the tail output
-  /// (ExecStyle::kChunked). Fills each member's NodeOutcome so the flushed
-  /// effects are byte-identical to unfused whole-dataset execution. Returns
-  /// false — leaving all outcomes untouched — when the region cannot stream
-  /// (whole-dataset style, unchunkable input, or an operator without
+  /// member's ApplyChunk, materializing only the tail output. Fills each
+  /// member's NodeOutcome so the flushed effects are byte-identical to the
+  /// unfused plan. Returns false — leaving all outcomes untouched — when
+  /// the region cannot stream (unchunkable input, or an operator without
   /// chunked apply), in which case the caller executes members node by
   /// node.
   bool TryExecuteFusedRegion(const FusedRegion& region);
@@ -123,8 +141,6 @@ class PlanRunner {
   /// one) and routes the priced recovery into ledger, metrics, timeline,
   /// trace, and the plan's decision log. Called from FlushOutcome.
   void SimulateFaults(int id);
-  void RunSerial(const std::vector<int>& exec_ids);
-  void RunParallel(const std::vector<int>& exec_ids);
 
   bool InProfileMode() const {
     return mode_ == ExecMode::kProfileSmall ||
@@ -139,9 +155,9 @@ class PlanRunner {
   PhysicalPlan* plan_;
   ExecContext* ctx_;
 
-  // Per-run state; indexed by node id. In parallel runs each scheduler
-  // thread writes only the slots of nodes it executed, and cross-thread
-  // visibility is ordered by the scheduler's ready-queue mutex.
+  // Per-run state; indexed by node id. Each scheduler thread writes only
+  // the slots of nodes it executed, and cross-thread visibility is ordered
+  // by the scheduler's ready-queue mutex.
   ExecMode mode_ = ExecMode::kFit;
   SelectHook select_;
   /// Fit mode with an ArtifactCatalog: nodes whose output is published into

@@ -26,8 +26,8 @@ struct ElementStat {
 
 class ChunkCollectorBase;
 
-/// A cache-resident slice of one partition: the unit of work of the chunked
-/// execution style. Chunks are typed underneath (Chunk<T>) and type-erased
+/// A cache-resident slice of one partition: the unit of work of fused-region
+/// execution. Chunks are typed underneath (Chunk<T>) and type-erased
 /// here so the PlanRunner can stream them through a fused operator chain
 /// without knowing the intermediate element types.
 class ChunkBase {

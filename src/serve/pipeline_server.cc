@@ -302,6 +302,12 @@ ServeReport PipelineServer::Run(RequestSource* source) {
       TryDispatch();
     } else {
       source->Pop();
+      // A malformed request is answered at once and leaves no other trace:
+      // it neither advances the clock nor touches any tenant's state.
+      if (!WellFormed(arrival)) {
+        Reject(arrival, RejectReason::kMalformed, source, &report);
+        continue;
+      }
       AdvanceClock(arrival.arrival_seconds);
       HandleArrival(arrival, source, &report);
     }
@@ -347,12 +353,16 @@ void PipelineServer::AdvanceClock(double time_seconds) {
   }
 }
 
+bool PipelineServer::WellFormed(const ServeRequest& request) const {
+  return request.tenant >= 0 &&
+         request.tenant < static_cast<int>(tenants_.size()) &&
+         request.payload <
+             tenants_[static_cast<size_t>(request.tenant)].codec->NumPayloads();
+}
+
 void PipelineServer::HandleArrival(const ServeRequest& request,
                                    RequestSource* source,
                                    ServeReport* report) {
-  KS_CHECK(request.tenant >= 0 &&
-           request.tenant < static_cast<int>(tenants_.size()))
-      << "request for unknown tenant " << request.tenant;
   Tenant& tenant = tenants_[static_cast<size_t>(request.tenant)];
   TenantReport& tally = tallies_[static_cast<size_t>(request.tenant)];
   ++tally.offered;
@@ -646,6 +656,23 @@ void PipelineServer::HandleCompletion(const Event& event,
 
 void PipelineServer::Reject(const ServeRequest& request, RejectReason reason,
                             RequestSource* source, ServeReport* report) {
+  ServeResponse response;
+  response.tenant = request.tenant;
+  response.id = request.id;
+  response.user = request.user;
+  response.accepted = false;
+  response.reject = reason;
+  response.arrival_seconds = request.arrival_seconds;
+  response.completion_seconds = request.arrival_seconds;
+  if (reason == RejectReason::kMalformed) {
+    // The tenant may not exist: counted server-wide only.
+    ++report->rejected_malformed;
+    if (ctx_.metrics() != nullptr) {
+      ctx_.metrics()->Increment("serve.rejected_malformed");
+    }
+    EmitResponse(std::move(response), source, report);
+    return;
+  }
   Tenant& tenant = tenants_[static_cast<size_t>(request.tenant)];
   TenantReport& tally = tallies_[static_cast<size_t>(request.tenant)];
   switch (reason) {
@@ -662,6 +689,7 @@ void PipelineServer::Reject(const ServeRequest& request, RejectReason reason,
       }
       break;
     case RejectReason::kNone:
+    case RejectReason::kMalformed:  // returned above
     case RejectReason::kPredictedCost:
       ++tally.rejected_predicted_cost;
       if (tenant.rejected_predicted_cost != nullptr) {
@@ -670,14 +698,6 @@ void PipelineServer::Reject(const ServeRequest& request, RejectReason reason,
       break;
   }
   if (telemetry_ != nullptr) telemetry_->CountId(tenant.id_rejected);
-  ServeResponse response;
-  response.tenant = request.tenant;
-  response.id = request.id;
-  response.user = request.user;
-  response.accepted = false;
-  response.reject = reason;
-  response.arrival_seconds = request.arrival_seconds;
-  response.completion_seconds = request.arrival_seconds;
   EmitResponse(std::move(response), source, report);
 }
 

@@ -103,6 +103,10 @@ struct ServeReport {
   double makespan_seconds = 0.0;   // virtual time of the last event
   double busy_seconds = 0.0;       // summed slot-busy virtual seconds
   int server_slots = 0;
+  /// Requests rejected as malformed on arrival (unknown tenant, or payload
+  /// outside the tenant codec's universe). They never reach a tenant's
+  /// tallies, queue, or the virtual clock.
+  size_t rejected_malformed = 0;
 
   /// Mean fraction of server slots busy over the makespan.
   double Utilization() const {
@@ -261,6 +265,9 @@ class PipelineServer {
   /// Registers every tenant's telemetry series with the attached hub and
   /// caches the stable ids the hot paths record through.
   void ResolveTelemetrySeries();
+  /// True when the request names a registered tenant and a payload inside
+  /// that tenant codec's universe.
+  bool WellFormed(const ServeRequest& request) const;
   void HandleArrival(const ServeRequest& request, RequestSource* source,
                      ServeReport* report);
   void HandleCompletion(const Event& event, RequestSource* source,

@@ -35,6 +35,7 @@ enum class RejectReason {
   kQueueFull,       // bounded queue at depth
   kPredictedCost,   // predicted latency exceeded the admission budget
   kErrorBudget,     // tenant burning its SLO error budget too fast
+  kMalformed,       // unknown tenant or payload outside the codec's universe
 };
 
 inline const char* RejectReasonName(RejectReason reason) {
@@ -47,6 +48,8 @@ inline const char* RejectReasonName(RejectReason reason) {
       return "predicted-cost";
     case RejectReason::kErrorBudget:
       return "error-budget";
+    case RejectReason::kMalformed:
+      return "malformed";
   }
   return "?";
 }

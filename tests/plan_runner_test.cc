@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/core/executor.h"
@@ -32,13 +36,22 @@ ClusterResourceDescriptor TestCluster() {
 
 /// A Gather-heavy pipeline: `branches` independent featurization chains,
 /// each ending in an estimator, zipped into one output vector. Exercises
-/// DAG-level branch parallelism on both the train and runtime paths.
-Pipeline<double, std::vector<double>> BranchyPipeline(int branches) {
+/// DAG-level branch parallelism on both the train and runtime paths. With
+/// `optimizable`, each chain's Scale is a two-option logical operator, so
+/// the profile pass fires the select hook once per branch.
+Pipeline<double, std::vector<double>> BranchyPipeline(
+    int branches, bool optimizable = false) {
   auto train = Doubles({1, 2, 3, 4, 5, 6, 7, 8}, 4);
   auto base = PipelineInput<double>();
   std::vector<Pipeline<double, double>> chains;
   for (int i = 0; i < branches; ++i) {
-    chains.push_back(base.AndThen(std::make_shared<Scale>(i + 1.0))
+    std::shared_ptr<TransformerBase> scale = std::make_shared<Scale>(i + 1.0);
+    if (optimizable) {
+      scale = std::make_shared<OptimizableTransformer>(
+          "scale", std::vector<std::shared_ptr<TransformerBase>>{
+                       scale, std::make_shared<Scale>(i + 1.0)});
+    }
+    chains.push_back(base.AndThenLogical<double>(scale)
                          .AndThen(std::make_shared<AddConst>(i * 0.5))
                          .AndThen(std::make_shared<MeanCenterer>(), train));
   }
@@ -52,10 +65,13 @@ struct FitObservation {
   std::string report_text;
   std::vector<std::string> span_names;
   std::string timeline_json;
+  /// Node ids in the order operator selection decided them.
+  std::vector<int> selection_order;
 };
 
-FitObservation FitAndObserve(const OptimizationConfig& config) {
-  auto pipe = BranchyPipeline(6);
+FitObservation FitAndObserve(const OptimizationConfig& config,
+                             bool optimizable = false) {
+  auto pipe = BranchyPipeline(6, optimizable);
   PipelineExecutor executor(TestCluster(), config);
   obs::TraceRecorder recorder;
   obs::ResourceTimeline timeline;
@@ -71,6 +87,10 @@ FitObservation FitAndObserve(const OptimizationConfig& config) {
   obs.report_text = report.ToString();
   for (const auto& span : recorder.Spans()) obs.span_names.push_back(span.name);
   obs.timeline_json = timeline.ToJson();
+  for (const obs::SelectionDecision& decision :
+       fitted.impl().plan().decision_log->Selections()) {
+    obs.selection_order.push_back(decision.node_id);
+  }
   return obs;
 }
 
@@ -89,16 +109,26 @@ TEST(PlanRunnerTest, ParallelFitIsDeterministic) {
 TEST(PlanRunnerTest, SerialAndParallelExecutionAgree) {
   OptimizationConfig serial = OptimizationConfig::Full();
   serial.parallel_branches = false;
-  const FitObservation off = FitAndObserve(serial);
-  const FitObservation on = FitAndObserve(OptimizationConfig::Full());
-  // Branch parallelism is a wall-clock optimization only: every observable
-  // effect — fitted models, virtual-time charges, report, trace — matches
-  // strictly serial execution exactly.
-  EXPECT_EQ(off.output, on.output);
-  EXPECT_EQ(off.fit_ledger_seconds, on.fit_ledger_seconds);
-  EXPECT_EQ(off.apply_ledger_seconds, on.apply_ledger_seconds);
-  EXPECT_EQ(off.report_text, on.report_text);
-  EXPECT_EQ(off.span_names, on.span_names);
+  for (bool optimizable : {false, true}) {
+    const FitObservation off = FitAndObserve(serial, optimizable);
+    const FitObservation on =
+        FitAndObserve(OptimizationConfig::Full(), optimizable);
+    // Branch parallelism is a wall-clock optimization only: every
+    // observable effect — fitted models, virtual-time charges, report,
+    // trace — matches strictly serial execution exactly.
+    EXPECT_EQ(off.output, on.output);
+    EXPECT_EQ(off.fit_ledger_seconds, on.fit_ledger_seconds);
+    EXPECT_EQ(off.apply_ledger_seconds, on.apply_ledger_seconds);
+    EXPECT_EQ(off.report_text, on.report_text);
+    EXPECT_EQ(off.span_names, on.span_names);
+    // Profile passes run on the calling thread in ascending id order, so
+    // the select hook, and the decision log it fills, see one branch after
+    // another in id order under either setting.
+    EXPECT_EQ(off.selection_order, on.selection_order);
+    EXPECT_TRUE(std::is_sorted(on.selection_order.begin(),
+                               on.selection_order.end()));
+    EXPECT_EQ(on.selection_order.size(), optimizable ? 6u : 0u);
+  }
 }
 
 TEST(PlanRunnerTest, ResourceTimelineBitIdenticalAcrossSchedulers) {
@@ -195,6 +225,53 @@ TEST(FingerprintTest, StoredProfilesSurviveNodeRename) {
   executor.Fit(pipe, &report);
   EXPECT_TRUE(report.profiles_from_store);
   EXPECT_EQ(report.optimize_seconds, 0.0);
+}
+
+/// Identity transformer that records the thread of every call.
+class ThreadRecorder : public Transformer<double, double> {
+ public:
+  std::string Name() const override { return "ThreadRecorder"; }
+  double Apply(const double& x) const override {
+    std::lock_guard<std::mutex> lock(mu_);
+    threads_.insert(std::this_thread::get_id());
+    return x;
+  }
+  std::set<std::thread::id> TakeThreads() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return std::exchange(threads_, {});
+  }
+
+ private:
+  mutable std::mutex mu_;
+  mutable std::set<std::thread::id> threads_;
+};
+
+TEST(PlanRunnerTest, FusedChainStartsNoThreads) {
+  auto recorder = std::make_shared<ThreadRecorder>();
+  auto pipe = PipelineInput<double>()
+                  .AndThen(std::make_shared<Scale>(2.0))
+                  .AndThen(recorder)
+                  .AndThen(std::make_shared<AddConst>(1.0));
+  PipelineExecutor executor(TestCluster(), OptimizationConfig::Full());
+  auto fitted = executor.Fit(pipe);
+  // The whole runtime path is one fused chain.
+  const PhysicalPlan& plan = fitted.impl().plan();
+  ASSERT_EQ(plan.fused_regions.size(), 1u);
+  EXPECT_EQ(static_cast<int>(plan.fused_regions[0].nodes.size()),
+            plan.NumRuntimeNodes());
+
+  ThreadPool pool(1);
+  ExecContext ctx(TestCluster());
+  ctx.set_pool(&pool);
+  ctx.set_tracer(nullptr);
+  ctx.set_metrics(nullptr);
+  ctx.set_timeline(nullptr);
+  recorder->TakeThreads();
+  for (int i = 0; i < 50; ++i) {
+    fitted.Apply(Doubles({1, 2, 3, 4, 5}, 2), &ctx);
+  }
+  EXPECT_EQ(recorder->TakeThreads(),
+            std::set<std::thread::id>{std::this_thread::get_id()});
 }
 
 TEST(ExecContextTest, ActualCostIsPerThread) {

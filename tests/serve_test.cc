@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -7,6 +8,7 @@
 #include <vector>
 
 #include "src/analysis/plan_validator.h"
+#include "src/common/rng.h"
 #include "src/core/exec_context.h"
 #include "src/core/executor.h"
 #include "src/core/pipeline.h"
@@ -307,6 +309,88 @@ TEST(PipelineServerTest, RejectionAccountingBalances) {
   EXPECT_EQ(tenant.completed, tenant.accepted);
   EXPECT_EQ(report.responses.size(), 300u);
   EXPECT_LE(tenant.queue_high_water, options.queue_depth);
+}
+
+/// Replays a fixed, arrival-ordered request list.
+class ListSource : public serve::RequestSource {
+ public:
+  explicit ListSource(std::vector<ServeRequest> requests)
+      : requests_(std::move(requests)) {}
+  bool Peek(ServeRequest* out) const override {
+    if (next_ >= requests_.size()) return false;
+    *out = requests_[next_];
+    return true;
+  }
+  void Pop() override { ++next_; }
+  bool Exhausted() const override { return next_ >= requests_.size(); }
+
+ private:
+  std::vector<ServeRequest> requests_;
+  size_t next_ = 0;
+};
+
+TEST(PipelineServerTest, MalformedRequestsAreRejectedNotFatal) {
+  auto fitted = FitCentered();
+  // Unknown tenants and payloads outside the 16-row universe, at seeded
+  // arrival times inside the clean traffic's span.
+  std::vector<ServeRequest> bad;
+  Rng rng(99);
+  const int tenants[] = {-1, 1, 0, 0, 7, 0};
+  const size_t payloads[] = {0, 3, 16, size_t{1} << 40, 5, 17};
+  for (int i = 0; i < 6; ++i) {
+    ServeRequest request;
+    request.tenant = tenants[i];
+    request.payload = payloads[i];
+    request.id = 1000 + i;
+    request.arrival_seconds = rng.Uniform(0.0, 2.5);
+    bad.push_back(request);
+  }
+  std::sort(bad.begin(), bad.end(), [](const auto& a, const auto& b) {
+    return a.arrival_seconds < b.arrival_seconds;
+  });
+
+  obs::MetricsRegistry registry;
+  ServeReport reports[2];
+  for (int inject = 0; inject < 2; ++inject) {
+    PipelineServer server(TestCluster());
+    server.context()->set_tracer(nullptr);
+    server.context()->set_metrics(&registry);
+    ServeOptions options;
+    options.max_batch_size = 8;
+    options.cost_admission = false;
+    server.AddTenant("centered", ServablePipeline(fitted), DoubleCodec(),
+                     options);
+    OpenLoopSource clean(0, 40.0, 120, 16, 2024);
+    ListSource injected(bad);
+    MergedSource merged({&clean, &injected});
+    reports[inject] =
+        server.Run(inject == 1 ? static_cast<serve::RequestSource*>(&merged)
+                               : &clean);
+  }
+  const ServeReport& clean = reports[0];
+  const ServeReport& dirty = reports[1];
+  EXPECT_EQ(clean.rejected_malformed, 0u);
+  EXPECT_EQ(dirty.rejected_malformed, bad.size());
+  EXPECT_DOUBLE_EQ(registry.GetCounter("serve.rejected_malformed")->Value(),
+                   static_cast<double>(bad.size()));
+  ASSERT_EQ(dirty.responses.size(), clean.responses.size() + bad.size());
+
+  // Every valid request's response matches the clean run byte for byte;
+  // the malformed ones are plain rejections.
+  ServeReport valid = dirty;
+  valid.responses.clear();
+  for (const serve::ServeResponse& response : dirty.responses) {
+    if (response.reject == RejectReason::kMalformed) {
+      EXPECT_FALSE(response.accepted);
+      EXPECT_GE(response.id, 1000u);
+    } else {
+      valid.responses.push_back(response);
+    }
+  }
+  EXPECT_FALSE(clean.ResponseStream().empty());
+  EXPECT_EQ(valid.ResponseStream(), clean.ResponseStream());
+  // Tenant tallies, latencies and the makespan never saw them either.
+  EXPECT_EQ(dirty.ToJson(), clean.ToJson());
 }
 
 TEST(PipelineServerTest, CostAdmissionShedsWhenSloIsUnattainable) {

@@ -2,10 +2,14 @@
 // observability picture for each — the optimizer's decision provenance
 // (physical-operator selections with margins, CSE merges, the greedy
 // materialization ledger), the per-resource occupancy timeline of the run,
-// and the cost-model calibration (estimated vs observed residuals).
+// and the cost-model calibration (estimated vs observed residuals). With
+// --compile-only it prints each compiled PhysicalPlan instead, without the
+// full-scale training pass.
 //
-// Usage: explain [--json] [--strict] [--runtime-only] [--fault-rate=R]
-//                [--fault-seed=S] [workload...]
+// Usage: explain [--json] [--strict] [--runtime-only] [--none|--pipe-only]
+//                [--fault-rate=R] [--fault-seed=S] [workload...]
+//        explain --compile-only [--json] [--none|--pipe-only]
+//                [--runtime-only] [workload...]
 //   --json       machine-readable output (one JSON object per workload)
 //   --strict     exit nonzero when any workload produces an empty decision
 //                log, a non-finite calibration residual, or a live plan
@@ -19,6 +23,10 @@
 //                stragglers at R/2); fault recoveries then appear in the
 //                decision log and the recovery timeline track
 //   --fault-seed=S  seed of the injected fault schedule (default 42)
+//   --compile-only  print each compiled plan (with --runtime-only: only
+//                the servable view)
+//   --none       optimize under OptimizationConfig::None()
+//   --pipe-only  optimize under OptimizationConfig::PipeOnly()
 //   workload     subset to explain (default: all six shipped workloads)
 
 #include <algorithm>
@@ -72,6 +80,8 @@ int Run(int argc, char** argv) {
   bool json = false;
   bool strict = false;
   bool runtime_only = false;
+  bool compile_only = false;
+  OptimizationConfig config = OptimizationConfig::Full();
   double fault_rate = 0.0;
   uint64_t fault_seed = 42;
   std::string value;
@@ -83,6 +93,12 @@ int Run(int argc, char** argv) {
       strict = true;
     } else if (std::strcmp(argv[i], "--runtime-only") == 0) {
       runtime_only = true;
+    } else if (std::strcmp(argv[i], "--compile-only") == 0) {
+      compile_only = true;
+    } else if (std::strcmp(argv[i], "--none") == 0) {
+      config = OptimizationConfig::None();
+    } else if (std::strcmp(argv[i], "--pipe-only") == 0) {
+      config = OptimizationConfig::PipeOnly();
     } else if (TakeValue(argv[i], "--fault-rate=", &value)) {
       fault_rate = std::strtod(value.c_str(), nullptr);
     } else if (TakeValue(argv[i], "--fault-seed=", &value)) {
@@ -90,7 +106,10 @@ int Run(int argc, char** argv) {
     } else if (argv[i][0] == '-') {
       std::fprintf(stderr,
                    "usage: explain [--json] [--strict] [--runtime-only] "
-                   "[--fault-rate=R] [--fault-seed=S] [workload...]\n");
+                   "[--none|--pipe-only] [--fault-rate=R] [--fault-seed=S] "
+                   "[workload...]\n"
+                   "       explain --compile-only [--json] "
+                   "[--none|--pipe-only] [--runtime-only] [workload...]\n");
       return 2;
     } else {
       wanted.emplace_back(argv[i]);
@@ -117,6 +136,23 @@ int Run(int argc, char** argv) {
       continue;
     }
     ++matched;
+    const ClusterResourceDescriptor resources =
+        ClusterResourceDescriptor::R3_4xlarge(4);
+    if (compile_only) {
+      const auto plan = PipelineExecutor(resources, config)
+                            .Compile(*target.graph, target.placeholder,
+                                     target.sink);
+      if (json) {
+        std::printf("%s{\"workload\":\"%s\",\"plan\":%s}",
+                    first ? "" : ",\n", target.name.c_str(),
+                    plan->ToJson(runtime_only).c_str());
+      } else {
+        std::printf("=== %s ===\n%s\n", target.name.c_str(),
+                    plan->ToString(runtime_only).c_str());
+      }
+      first = false;
+      continue;
+    }
 
     // Per-workload observability sinks so each report covers exactly one
     // compile + fit, independent of the process-wide globals.
@@ -125,13 +161,11 @@ int Run(int argc, char** argv) {
     obs::ProfileStore store;
     obs::ResourceTimeline timeline;
 
-    const ClusterResourceDescriptor resources =
-        ClusterResourceDescriptor::R3_4xlarge(4);
     // In-process, memory-only artifact catalog: the cold fit below
     // publishes its pure-lineage intermediates, and a second (warm) fit
     // then exercises the cross-run ReusePass against them.
     cache::ArtifactCatalog catalog{cache::CatalogConfig{}};
-    PipelineExecutor executor(resources, OptimizationConfig::Full());
+    PipelineExecutor executor(resources, config);
     executor.context()->set_tracer(&tracer);
     executor.context()->set_metrics(&metrics);
     executor.context()->set_profile_store(&store);
@@ -155,7 +189,7 @@ int Run(int argc, char** argv) {
     obs::TraceRecorder warm_tracer;
     obs::MetricsRegistry warm_metrics;
     obs::ResourceTimeline warm_timeline;
-    PipelineExecutor warm_executor(resources, OptimizationConfig::Full());
+    PipelineExecutor warm_executor(resources, config);
     warm_executor.context()->set_tracer(&warm_tracer);
     warm_executor.context()->set_metrics(&warm_metrics);
     warm_executor.context()->set_timeline(&warm_timeline);
@@ -361,7 +395,7 @@ int Run(int argc, char** argv) {
   }
   // The warm fits ran against catalogs the cold fits populated; a shipped
   // workload set where not a single reuse lands means the rewrite is dead.
-  if (strict && matched > 0 && total_reuse_accepted == 0) {
+  if (strict && !compile_only && matched > 0 && total_reuse_accepted == 0) {
     std::fprintf(stderr,
                  "explain: no workload produced an accepted cross-run reuse "
                  "decision on its warm fit\n");

@@ -2,7 +2,7 @@
 #define KEYSTONE_TOOLS_SHIPPED_WORKLOADS_H_
 
 // The six shipped workload pipelines on tiny synthetic corpora, shared by
-// the static-analysis front-ends (pipeline_lint, plan_dump). Graph shape
+// the static-analysis front-ends (pipeline_lint, explain). Graph shape
 // does not depend on corpus size, so the corpora stay small enough that
 // compiling a plan (including the sampling passes) is fast.
 
